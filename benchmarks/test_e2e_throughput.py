@@ -53,9 +53,10 @@ def consume(service, test, topic_partitions, repartition, producer_threads):
     producer_report = ProducerApplication(broker, "alarms", test, seed=1).run(
         STREAM, num_threads=producer_threads
     )
+    # ``repartition`` shapes only the task-per-partition (parallel_ml) path.
     consumer = ConsumerApplication(
         broker, "alarms", "bench", service, history=AlarmHistory(),
-        repartition=repartition,
+        repartition=repartition, parallel_ml=repartition is not None,
     )
     report = consumer.process_available(max_records=STREAM)
     assert report.alarms_processed == STREAM

@@ -10,12 +10,15 @@ streaming window it
 2. **batch** — queries the alarm history for a histogram of past alarms of
    exactly those devices;
 3. **ml** — classifies every alarm in the window with the verification
-   service (the dominant cost in Figure 12, ~80%);
+   service (the dominant cost in Figure 12, ~80%) in one vectorized call
+   over the documents of all partitions, so the model's fixed per-call cost
+   is paid once per window however the topic is partitioned;
 4. appends the window to the alarm history.
 
 Per-component wall times are accumulated in :class:`ConsumerRunReport`,
-which is what the Figure 12 benchmark prints.  ``repartition`` raises the
-parallelism of single-partition topics (the Kafka fix of Section 5.5.2).
+which is what the Figure 12 benchmark prints.  With ``parallel_ml`` the ML
+step instead runs one task per partition on a thread pool, and
+``repartition`` sets how many partitions (the Kafka fix of Section 5.5.2).
 """
 
 from __future__ import annotations
@@ -98,16 +101,17 @@ class ConsumerApplication:
         Wire serializer (must match the producer's format; both built-ins
         are mutually compatible).
     repartition:
-        When set, each window's dataset is repartitioned to this many
-        partitions before the ML step (the Section 5.5.2 parallelism fix —
-        in Spark this raises executor parallelism; here it controls the
-        task granularity).
+        Shapes only the ``parallel_ml`` path: each window's dataset is
+        repartitioned to this many partitions, one ML task each (the
+        Section 5.5.2 parallelism fix — in Spark this raises executor
+        parallelism; here it controls the task granularity).  Ignored
+        when ``parallel_ml`` is off.
     parallel_ml:
-        Run the per-partition ML tasks on a thread pool.  Off by default:
+        Run one ML task per partition on a thread pool.  Off by default,
+        and then each window is classified in a single vectorized call:
         the classifiers are already vectorized with numpy and, under
         CPython's GIL, thread-level parallelism slows this workload down —
-        a real divergence from the paper's Spark cluster, documented in
-        EXPERIMENTS.md.
+        a real divergence from the paper's Spark cluster.
     keep_verifications:
         Retain every verification in the report (disable for throughput
         benchmarks to avoid unbounded memory).
@@ -173,8 +177,6 @@ class ConsumerApplication:
         # consumed twice (distinct addresses + classification input).
         t0 = time.perf_counter()
         dataset = batch.dataset
-        if self.repartition is not None:
-            dataset = dataset.repartition(self.repartition)
         dataset.cache()
         addresses = sorted(
             dataset.map(lambda doc: doc["device_address"]).distinct().collect()
@@ -189,17 +191,20 @@ class ConsumerApplication:
         t2 = time.perf_counter()
         report.batch_seconds += t2 - t1
 
-        # (3) ml: classify the window (one vectorized call per partition).
+        # (3) ml: classify the window: one vectorized call over every
+        # partition's documents, or one pool task per partition.
         def classify(partition: list) -> list[Verification]:
             alarms = [Alarm.from_document(doc) for doc in partition]
             return self.service.verify_batch(alarms)
         if self.parallel_ml:
-            partition_results = dataset.map_partitions_parallel(classify)
-        else:
-            partition_results = [
-                classify(part) for part in dataset.collect_partitions()
+            if self.repartition is not None:
+                dataset = dataset.repartition(self.repartition)
+            verifications = [
+                v for part in dataset.map_partitions_parallel(classify)
+                for v in part
             ]
-        verifications = [v for part in partition_results for v in part]
+        else:
+            verifications = classify(dataset.collect())
         t3 = time.perf_counter()
         report.ml_seconds += t3 - t2
 

@@ -94,19 +94,30 @@ def _impurity_from_counts(counts: np.ndarray, totals: np.ndarray, criterion: str
         return -np.sum(proportions * logs, axis=1)
 
 
+#: Most (tree, row) positions routed at once.  A stacked forest walks every
+#: row through every tree together, so its temporaries grow with
+#: rows x trees; larger batches are cut into row blocks of at most this many
+#: positions, which keeps memory flat and the working set in cache.
+_BLOCK_POSITIONS = 65_536
+
+
 class _FlatTree:
-    """Array representation of a fitted tree for vectorized routing.
+    """Array representation of fitted trees for vectorized routing.
 
     Per node: split feature, threshold, child ids, leaf flag, leaf
     distribution, and — for categorical splits — a row in a shared boolean
-    membership matrix indexed by integer category code.
+    membership matrix indexed by integer category code.  One instance holds
+    a *stack* of trees: their node arrays are concatenated with node
+    offsets and ``roots`` lists each tree's root id.  A single tree is a
+    stack of one.
     """
 
     def __init__(self, feature: np.ndarray, threshold: np.ndarray,
                  left: np.ndarray, right: np.ndarray, is_leaf: np.ndarray,
                  proba: np.ndarray, cat_row: np.ndarray,
                  cat_matrix: np.ndarray | None,
-                 fallback_nodes: dict[int, TreeNode]):
+                 fallback_nodes: dict[int, TreeNode],
+                 roots: np.ndarray):
         self.feature = feature
         self.threshold = threshold
         self.left = left
@@ -114,8 +125,20 @@ class _FlatTree:
         self.is_leaf = is_leaf
         self.proba = proba
         self.cat_row = cat_row          # -1: numeric; -2: non-integer cats
-        self.cat_matrix = cat_matrix    # (n_cat_nodes, max_code + 1) bools
+        # (n_cat_nodes, max_code + 2) bools: the last column is all False,
+        # and every code that is no valid column (negative, unseen,
+        # non-integer) is pointed at it.
+        self.cat_matrix = cat_matrix
         self.fallback_nodes = fallback_nodes  # non-integer categorical nodes
+        self.roots = roots              # root node id of each stacked tree
+        # Routing accelerators: both child ids of node i at 2i (right) and
+        # 2i + 1 (left), so a step is one gather indexed by the comparison;
+        # the membership matrix raveled, and each categorical node's first
+        # cell in it (-1 elsewhere).
+        self._children = np.stack([right, left], axis=1).ravel()
+        if cat_matrix is not None:
+            self._cat_flat = cat_matrix.ravel()
+            self._cat_base = np.where(cat_row >= 0, cat_row * cat_matrix.shape[1], -1)
 
     @staticmethod
     def from_root(root: TreeNode, n_classes: int) -> "_FlatTree":
@@ -175,48 +198,115 @@ class _FlatTree:
                     fallback[i] = node
 
         if cat_tables:
-            cat_matrix = np.zeros((len(cat_tables), max_code), dtype=bool)
+            cat_matrix = np.zeros((len(cat_tables), max_code + 1), dtype=bool)
             for row, table in enumerate(cat_tables):
                 cat_matrix[row, : table.size] = table
         else:
             cat_matrix = None
         return _FlatTree(feature, threshold, left, right, is_leaf, proba,
-                         cat_row, cat_matrix, fallback)
+                         cat_row, cat_matrix, fallback,
+                         np.zeros(1, dtype=np.int64))
+
+    @staticmethod
+    def stack(trees: "list[_FlatTree]") -> "_FlatTree":
+        """Concatenate ``trees`` into one stack, in order."""
+        sizes = [tree.feature.size for tree in trees]
+        offsets = np.cumsum([0] + sizes[:-1])
+        cat_sizes = [
+            0 if tree.cat_matrix is None else tree.cat_matrix.shape[0]
+            for tree in trees
+        ]
+        cat_offsets = np.cumsum([0] + cat_sizes[:-1])
+        cat_row = np.concatenate([
+            np.where(tree.cat_row >= 0, tree.cat_row + cat_offset, tree.cat_row)
+            for tree, cat_offset in zip(trees, cat_offsets)
+        ])
+        tables = [tree.cat_matrix for tree in trees if tree.cat_matrix is not None]
+        cat_matrix = None
+        if tables:
+            cat_matrix = np.zeros(
+                (sum(cat_sizes), max(table.shape[1] for table in tables)),
+                dtype=bool,
+            )
+            start = 0
+            for table in tables:
+                cat_matrix[start : start + table.shape[0], : table.shape[1]] = table
+                start += table.shape[0]
+        fallback = {
+            int(offset) + node_id: node
+            for tree, offset in zip(trees, offsets)
+            for node_id, node in tree.fallback_nodes.items()
+        }
+        return _FlatTree(
+            np.concatenate([tree.feature for tree in trees]),
+            np.concatenate([tree.threshold for tree in trees]),
+            np.concatenate([tree.left + o for tree, o in zip(trees, offsets)]),
+            np.concatenate([tree.right + o for tree, o in zip(trees, offsets)]),
+            np.concatenate([tree.is_leaf for tree in trees]),
+            np.concatenate([tree.proba for tree in trees]),
+            cat_row, cat_matrix, fallback,
+            np.concatenate([tree.roots + o for tree, o in zip(trees, offsets)]),
+        )
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        n_rows = X.shape[0]
-        position = np.zeros(n_rows, dtype=np.int64)
-        while True:
-            active = np.flatnonzero(~self.is_leaf[position])
-            if active.size == 0:
-                break
+        """Mean over the stacked trees of each row's leaf distribution.
+
+        Leaf rows are summed in tree order and divided by the tree count,
+        so the result is bit-identical to averaging per-tree predictions.
+        """
+        n_trees = self.roots.size
+        out = np.zeros((X.shape[0], self.proba.shape[1]), dtype=np.float64)
+        block = max(1, _BLOCK_POSITIONS // n_trees)
+        for start in range(0, X.shape[0], block):
+            total = out[start : start + block]
+            for leaves in self._route(X[start : start + block]):
+                total += self.proba[leaves]
+        out /= n_trees
+        return out
+
+    def _route(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id of every (tree, row): shape ``(n_trees, n_rows)``.
+
+        Level-synchronous: one gather + compare per depth level for all
+        positions of all trees, dropping positions as they reach a leaf.
+        """
+        n_rows, n_features = X.shape
+        values_flat = np.ascontiguousarray(X).ravel()
+        if self.cat_matrix is not None:
+            # Each cell's column in the membership matrix, computed once
+            # per call rather than once per level.
+            false_column = self.cat_matrix.shape[1] - 1
+            with np.errstate(invalid="ignore"):
+                codes = values_flat.astype(np.int64)
+            valid = (codes >= 0) & (codes < false_column) & (values_flat == codes)
+            codes = np.where(valid, codes, false_column)
+        position = np.repeat(self.roots, n_rows)
+        active = np.flatnonzero(~self.is_leaf[position])
+        rows = active % n_rows
+        while active.size:
             node_ids = position[active]
-            values = X[active, self.feature[node_ids]]
+            cells = rows * n_features + self.feature[node_ids]
+            values = values_flat[cells]
             go_left = values <= self.threshold[node_ids]
-            rows = self.cat_row[node_ids]
             if self.cat_matrix is not None:
-                categorical = rows >= 0
-                if categorical.any():
-                    cat_values = values[categorical]
-                    codes = cat_values.astype(np.int64)
-                    width = self.cat_matrix.shape[1]
-                    valid = (codes >= 0) & (codes < width) & (cat_values == codes)
-                    member = np.zeros(codes.size, dtype=bool)
-                    member[valid] = self.cat_matrix[
-                        rows[categorical][valid], codes[valid]
+                base = self._cat_base[node_ids]
+                categorical = base >= 0
+                if np.count_nonzero(categorical):
+                    go_left[categorical] = self._cat_flat[
+                        base[categorical] + codes[cells[categorical]]
                     ]
-                    go_left[categorical] = member
             if self.fallback_nodes:
-                slow = rows == -2
-                for offset in np.flatnonzero(slow):
+                for offset in np.flatnonzero(self.cat_row[node_ids] == -2):
                     node = self.fallback_nodes[int(node_ids[offset])]
                     go_left[offset] = bool(
                         node.membership_mask(values[offset : offset + 1])[0]
                     )
-            position[active] = np.where(
-                go_left, self.left[node_ids], self.right[node_ids]
-            )
-        return self.proba[position]
+            following = self._children[2 * node_ids + go_left]
+            position[active] = following
+            inner = ~self.is_leaf[following]
+            active = active[inner]
+            rows = rows[inner]
+        return position.reshape(self.roots.size, n_rows)
 
 
 class DecisionTreeClassifier(BaseClassifier):
@@ -446,16 +536,20 @@ class DecisionTreeClassifier(BaseClassifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class distribution of the leaf each row lands in.
 
-        Routing is level-synchronous over a flattened array representation
-        of the tree (one gather + compare per depth level for *all* rows),
-        which keeps prediction vectorized even for deep trees — essential
-        for the verification service's streaming throughput.
+        The tree is routed as a stack of one through the same
+        level-synchronous traversal a forest uses for all its trees (one
+        gather + compare per depth level for *all* rows), which keeps
+        prediction vectorized even for deep trees.
         """
         X = self._check_predict_input(X)
+        return self._flattened().predict_proba(X)
+
+    def _flattened(self) -> _FlatTree:
+        """The flat arrays of the fitted tree, rebuilt if unpickled."""
         assert self.root_ is not None and self.n_classes_ is not None
         if getattr(self, "_flat", None) is None:
             self._flat = _FlatTree.from_root(self.root_, self.n_classes_)
-        return self._flat.predict_proba(X)
+        return self._flat
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

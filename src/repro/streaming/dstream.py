@@ -29,6 +29,10 @@ from repro.streaming.serializers import Serializer, deserialize_batch
 
 __all__ = ["MicroBatch", "StreamingContext", "BatchStats"]
 
+#: Most recent :class:`BatchStats` kept in :attr:`StreamingContext.history`;
+#: older entries are dropped so a long-running stream holds bounded memory.
+HISTORY_LIMIT = 1_000
+
 
 @dataclass
 class BatchStats:
@@ -177,7 +181,8 @@ class StreamingContext:
 
         For each non-empty batch: run ``handler``, then commit offsets —
         the processing-then-commit order that gives exactly-once semantics.
-        Returns per-batch stats and appends them to :attr:`history`.
+        Returns per-batch stats and appends them to :attr:`history`, which
+        keeps only the most recent :data:`HISTORY_LIMIT` entries.
         """
         stats: list[BatchStats] = []
         while True:
@@ -197,6 +202,8 @@ class StreamingContext:
             )
             stats.append(entry)
             self.history.append(entry)
+            if len(self.history) > HISTORY_LIMIT:
+                del self.history[:-HISTORY_LIMIT]
         return stats
 
     def run(self, handler: Callable[[MicroBatch], None], duration_seconds: float,

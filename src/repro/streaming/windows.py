@@ -97,11 +97,19 @@ class SlidingWindows:
         self.slide = slide_seconds
 
     def assign(self, timestamp: float) -> list[Window]:
-        """All windows whose interval covers ``timestamp``."""
+        """All windows whose interval covers ``timestamp``.
+
+        Window ``j`` covers ``[j*slide, (j+1)*slide + (size - slide))``: its
+        end is built on the next window's start ``(j+1)*slide``, the exact
+        product :func:`_window_index` compares against, so the window that
+        index names always contains ``timestamp`` (with ``j*slide + size``
+        the two roundings could disagree and leave it in no window at all).
+        """
         j = _window_index(timestamp, self.slide)
+        overhang = self.size - self.slide
         windows = []
-        while j * self.slide + self.size > timestamp:
-            windows.append(Window(j * self.slide, j * self.slide + self.size))
+        while (j + 1) * self.slide + overhang > timestamp:
+            windows.append(Window(j * self.slide, (j + 1) * self.slide + overhang))
             j -= 1
         windows.reverse()
         return windows

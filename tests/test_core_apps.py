@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.datasets import SitasysGenerator
 from repro.errors import ConfigurationError
-from repro.ml import FeaturePipeline, LogisticRegression
+from repro.ml import FeaturePipeline, LogisticRegression, RandomForestClassifier
 from repro.streaming import Broker
 
 CATS = ["location", "property_type", "alarm_type", "hour_of_day",
@@ -29,6 +29,18 @@ def service(alarms):
     pipe = FeaturePipeline(LogisticRegression(max_iter=60), CATS)
     pipe.fit([l.features() for l in labeled], [l.is_false for l in labeled])
     return VerificationService(pipe)
+
+
+class _CountingService:
+    """Delegates to a verification service, recording each batch's size."""
+
+    def __init__(self, service):
+        self._service = service
+        self.batch_sizes = []
+
+    def verify_batch(self, alarms):
+        self.batch_sizes.append(len(alarms))
+        return self._service.verify_batch(alarms)
 
 
 @pytest.fixture
@@ -110,6 +122,37 @@ class TestConsumerApplication:
             broker, "alarms", "g", service, repartition=3, parallel_ml=True,
         )
         assert consumer.process_available().alarms_processed == 150
+
+    def test_window_over_four_partitions_is_one_verify_batch_call(self, alarms):
+        # A forest's rows are classified independently of each other, so the
+        # per-partition and whole-window calls must agree bit for bit.
+        labeled = label_alarms(alarms[:400], 60.0)
+        pipe = FeaturePipeline(
+            RandomForestClassifier(n_estimators=5, max_depth=8, random_state=0),
+            categorical_features=CATS, encoding="ordinal",
+        )
+        pipe.fit([l.features() for l in labeled], [l.is_false for l in labeled])
+        service = VerificationService(pipe)
+        broker = Broker()
+        broker.create_topic("alarms", num_partitions=4)
+        ProducerApplication(broker, "alarms", alarms, seed=8).run(160)
+
+        single_spy = _CountingService(service)
+        single = ConsumerApplication(
+            broker, "alarms", "single", single_spy, keep_verifications=True,
+        ).process_available()
+        assert single.windows == 1
+        assert single_spy.batch_sizes == [160]
+
+        # The per-partition path: one task per broker partition.
+        parts_spy = _CountingService(service)
+        per_partition = ConsumerApplication(
+            broker, "alarms", "parts", parts_spy, parallel_ml=True,
+            keep_verifications=True,
+        ).process_available()
+        assert per_partition.windows == 1
+        assert len(parts_spy.batch_sizes) == 4
+        assert single.verifications == per_partition.verifications
 
     def test_histogram_since_filters_history(self, broker, alarms, service):
         history = AlarmHistory()

@@ -52,6 +52,13 @@ class TestTimeWindows:
         tumbling = TumblingWindows(60.0)
         assert sliding.assign(95.0) == tumbling.assign(95.0)
 
+    def test_sliding_with_slide_equal_size_leaves_no_gap(self):
+        # 0.6 / 0.1 rounds to index 5, whose end used to be computed as
+        # 5 * 0.1 + 0.1 == 0.6 exactly, so 0.6 fell in no window at all.
+        assigned = SlidingWindows(0.1, 0.1).assign(0.6)
+        assert assigned == TumblingWindows(0.1).assign(0.6)
+        assert len(assigned) == 1 and assigned[0].contains(0.6)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TumblingWindows(0.0)

@@ -126,7 +126,7 @@ class TestStreamingEndToEnd:
         ProducerApplication(broker, "alarms", test, seed=5).run(200)
         consumer = ConsumerApplication(
             broker, "alarms", "verify", VerificationService(pipeline),
-            repartition=4,
+            repartition=4, parallel_ml=True,
         )
         assert consumer.process_available().alarms_processed == 200
 

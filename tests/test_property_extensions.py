@@ -90,6 +90,23 @@ def test_sliding_fractional_sizes_contain_exactly(ts, size, divisor):
 
 
 @given(
+    tenths=st.integers(min_value=0, max_value=100_000),
+    size=fractional_sizes,
+    divisor=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_sliding_decimal_timestamps_fall_in_some_window(tenths, size, divisor):
+    """Decimal timestamps on slide boundaries (0.6 with 0.1 windows) are
+    covered, and ``slide == size`` assigns exactly the tumbling window."""
+    ts = tenths / 10
+    windows = SlidingWindows(size, size / divisor).assign(ts)
+    assert windows
+    assert all(w.contains(ts) for w in windows)
+    if divisor == 1:
+        assert windows == TumblingWindows(size).assign(ts)
+
+
+@given(
     base=st.integers(min_value=0, max_value=3_000),
     offsets=st.lists(st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
                      min_size=1, max_size=30),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.streaming import Broker, Producer, StreamingContext
+from repro.streaming.dstream import HISTORY_LIMIT
 
 
 @pytest.fixture
@@ -60,6 +61,15 @@ class TestProcessAvailable:
         assert sorted(d["i"] for d in seen) == list(range(40))
         assert sum(s.num_records for s in stats) == 40
         assert ctx.history == stats
+
+    def test_history_keeps_only_the_most_recent_windows(self, broker):
+        extra = 7
+        fill(broker, HISTORY_LIMIT + extra)
+        ctx = StreamingContext(broker, "alarms", "g")
+        stats = ctx.process_available(lambda batch: None, max_records=1)
+        assert len(stats) == HISTORY_LIMIT + extra
+        assert len(ctx.history) == HISTORY_LIMIT
+        assert ctx.history == stats[extra:]
 
     def test_offsets_commit_after_handler(self, broker):
         fill(broker, 10)
